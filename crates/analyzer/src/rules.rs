@@ -90,12 +90,15 @@ pub fn run_rules(files: &[FileCtx]) -> Vec<RawViolation> {
 }
 
 /// Impl blocks whose methods run on a steady-state hot path: the planned
-/// inference loop (`ForwardPlan`) and the flat-index event engines — the
-/// heap sift/push/pop, the intrusive queue swizzles, the arena accessors,
+/// inference loop (`ForwardPlan`), the tensor worker pool's job hand-off
+/// (`WorkerPool` submit/wait and the worker loop, run on every pooled
+/// kernel call) and the flat-index event engines — the heap
+/// sift/push/pop, the intrusive queue swizzles, the arena accessors,
 /// monomorphized discipline dispatch, and the engine/fleet event loops
 /// themselves.
-const HOT_IMPLS: [&str; 8] = [
+const HOT_IMPLS: [&str; 9] = [
     "ForwardPlan",
+    "WorkerPool",
     "EventHeap",
     "RequestArena",
     "IndexQueue",
@@ -107,7 +110,8 @@ const HOT_IMPLS: [&str; 8] = [
 
 /// Methods of hot impls that are *allowed* to allocate: constructors and
 /// kind-resolvers (cold, once per simulation/plan) and report assembly
-/// (cold, after the loop drains).
+/// (cold, after the loop drains). The worker pool's `new` starts its
+/// threads once per process.
 const HOT_EXEMPT_FNS: [&str; 6] = [
     "new",
     "with_capacity",
@@ -292,11 +296,15 @@ fn into_doc_contract(f: &FileCtx, out: &mut Vec<RawViolation>) {
 /// explicit-SIMD kernel island in `crates/tensor` (gated by a module-scoped
 /// `#![allow(unsafe_code)]` under the crate's `#![deny(unsafe_code)]`), the
 /// counting global allocator in `testkit` (forwarding the `GlobalAlloc`
-/// contract to `System`), and the zero-copy byte↔f32 reinterpretation
-/// island in `tensorstore` (alignment-checked slice casts behind the same
-/// module-scoped gate). Growing this list is a deliberate, reviewed act.
-const UNSAFE_SANCTIONED: [&str; 3] = [
+/// contract to `System`), the zero-copy byte↔f32 reinterpretation island
+/// in `tensorstore` (alignment-checked slice casts behind the same
+/// module-scoped gate), and the tensor worker pool (jobs are borrowed
+/// closures whose lifetime is erased for one call, and tasks derive
+/// disjoint chunks from one raw pointer). Growing this list is a
+/// deliberate, reviewed act.
+const UNSAFE_SANCTIONED: [&str; 4] = [
     "crates/tensor/src/backend/simd.rs",
+    "crates/tensor/src/parallel/pool.rs",
     "crates/tensorstore/src/view.rs",
     "crates/testkit/src/lib.rs",
 ];
@@ -368,10 +376,10 @@ fn unsafe_audit(f: &FileCtx, out: &mut Vec<RawViolation>) {
                 rule: "unsafe-audit",
                 file: f.rel.clone(),
                 line: t.line,
-                message: "`unsafe` outside the sanctioned modules \
-                          (crates/tensor/src/backend/simd.rs, \
-                          crates/tensorstore/src/view.rs, crates/testkit/src/lib.rs)"
-                    .into(),
+                message: format!(
+                    "`unsafe` outside the sanctioned modules ({})",
+                    UNSAFE_SANCTIONED.join(", ")
+                ),
             });
         } else if !has_safety_justification(f, &clean_lines, t.line) {
             out.push(RawViolation {

@@ -97,8 +97,11 @@ fn hot_path_alloc_covers_engine_impls() {
 
     // `.to_vec()` in EventHeap::push, `format!` in EngineSim::run,
     // `.collect()` in FleetSim::dispatch_tier and in the swap-version
-    // lookup FleetSim::profile_at (it runs per arrival).
-    assert_eq!(open_lines(&hot), vec![16, 31, 50, 75]);
+    // lookup FleetSim::profile_at (it runs per arrival), `Box::new` in
+    // WorkerPool::submit (the pool's `new` is exempt, `wait` is clean).
+    assert_eq!(open_lines(&hot), vec![16, 31, 50, 75, 93]);
+    assert!(hot.iter().any(|v| v.message.contains("`submit`")));
+    assert!(!hot.iter().any(|v| v.message.contains("`wait`")));
     assert!(hot.iter().any(|v| v.message.contains("`push`")));
     assert!(hot.iter().any(|v| v.message.contains("format!")));
     assert!(hot.iter().any(|v| v.message.contains("`dispatch_tier`")));
@@ -238,6 +241,23 @@ fn unsafe_audit_requires_safety_comments_in_sanctioned_files() {
     let suppressed: Vec<_> = audit.iter().filter(|v| v.suppressed.is_some()).collect();
     assert_eq!(suppressed.len(), 1);
     assert_eq!(suppressed[0].line, 26);
+}
+
+#[test]
+fn unsafe_audit_sanctions_the_worker_pool_with_safety_comments() {
+    // The pool file is sanctioned like the others: the same fixture flags
+    // only the unjustified `bare` block there.
+    let report = report_for(&[("crates/tensor/src/parallel/pool.rs", UNSAFE_AUDIT)]);
+    let audit = by_rule(&report, "unsafe-audit");
+    assert_eq!(open_lines(&audit), vec![12]);
+
+    // Its sibling `parallel.rs` is not.
+    let report = report_for(&[("crates/tensor/src/parallel.rs", UNSAFE_AUDIT)]);
+    let audit = by_rule(&report, "unsafe-audit");
+    assert_eq!(open_lines(&audit), vec![8, 12, 19, 21, 29]);
+    assert!(audit
+        .iter()
+        .any(|v| v.message.contains("crates/tensor/src/parallel/pool.rs")));
 }
 
 #[test]

@@ -76,3 +76,25 @@ impl FleetSim {
         versions.iter().sum()
     }
 }
+
+/// Worker-pool fixture: `submit` and `wait` run on every pooled kernel
+/// call, so they are hot; starting the pool (`new`) is exempt.
+pub struct WorkerPool {
+    names: Vec<String>,
+}
+
+impl WorkerPool {
+    pub fn new(workers: usize) -> WorkerPool {
+        let names = (0..workers).map(|i| format!("pool-{i}")).collect(); // exempt: start-up
+        WorkerPool { names }
+    }
+
+    pub fn submit(&self, tasks: usize) -> usize {
+        let job = Box::new(tasks); // flagged
+        *job + self.names.len()
+    }
+
+    pub fn wait(&self) -> usize {
+        self.names.len() // clean: no allocation
+    }
+}

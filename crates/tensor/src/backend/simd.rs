@@ -43,9 +43,9 @@ use std::arch::x86_64::{
 };
 use std::sync::OnceLock;
 
-use crate::matmul::{PAR_THRESHOLD, RESIDENT_BUDGET};
-use crate::ops::ELEMWISE_PAR_THRESHOLD;
-use crate::parallel::{max_threads, par_chunks_mut, par_row_chunks_mut};
+use crate::matmul::{resident_schedule, split_outputs_bt, PAR_THRESHOLD};
+use crate::ops::{ELEMWISE_GRANULE, ELEMWISE_PAR_THRESHOLD};
+use crate::parallel::{max_threads, par_row_chunks_mut};
 
 /// True when the running CPU supports AVX2 and FMA (cached after the first
 /// call). Every safe wrapper in this module consults this before touching an
@@ -475,8 +475,9 @@ pub fn matmul_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
 
 /// `C = A · Bᵀ` with an optionally fused bias row-broadcast, written into
 /// the caller-owned `c` (fully overwritten) — the planned dense-layer
-/// kernel, on the same resident-budget schedule heuristic as the scalar
-/// [`crate::matmul::matmul_bt_bias_into`]. Both schedules produce the same
+/// kernel, on the same schedule choices and thread splits as the scalar
+/// [`crate::matmul::matmul_bt_bias_into`] (including the small-batch split
+/// of output features across the pool). Every schedule produces the same
 /// bits here (every output is one FMA [`dot`] + bias add).
 pub fn matmul_bt_bias_into(
     a: &[f32],
@@ -493,9 +494,16 @@ pub fn matmul_bt_bias_into(
     if !available() {
         return crate::matmul::matmul_bt_bias_into(a, b, bias, c, m, k, n);
     }
+    if split_outputs_bt(a, b, bias, c, m, k, n, |a_row, b, bias, out| {
+        // SAFETY: AVX2+FMA availability checked at function entry; `b`
+        // holds `out.len()` rows of length `k`.
+        unsafe { bt_iouter_avx2(a_row, b, bias, out, 0, 1, k, out.len()) }
+    }) {
+        return;
+    }
     let body = |row0: usize, chunk: &mut [f32]| {
         let rows = chunk.len() / n;
-        if rows * k <= RESIDENT_BUDGET && rows * k < n * k {
+        if resident_schedule(rows, k, n) {
             // SAFETY: AVX2+FMA availability checked at function entry.
             unsafe { bt_jouter_avx2(a, b, bias, chunk, row0, rows, k, n) };
         } else {
@@ -558,7 +566,8 @@ pub fn relu_into(input: &[f32], out: &mut [f32]) {
         return crate::ops::relu_into(input, out);
     }
     if input.len() >= ELEMWISE_PAR_THRESHOLD && max_threads() > 1 {
-        par_chunks_mut(out, 4096, |start, chunk| {
+        par_row_chunks_mut(out, ELEMWISE_GRANULE, |g0, chunk| {
+            let start = g0 * ELEMWISE_GRANULE;
             // SAFETY: AVX2 availability checked at function entry; the
             // kernel performs only in-bounds masked/unmasked accesses.
             unsafe { relu_avx2(&input[start..start + chunk.len()], chunk) };

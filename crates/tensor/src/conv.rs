@@ -165,10 +165,11 @@ pub fn conv2d_scratch_floats(g: &Conv2dGeom, batch: usize) -> usize {
 /// * `scratch` — at least [`conv2d_scratch_floats`] floats; holds the
 ///   per-worker im2col patch matrices so the hot path allocates nothing.
 ///
-/// Samples are split across threads in whole-image chunks, each worker owning
-/// a disjoint slice of `out` and its own patch buffer. Every sample is
-/// lowered and multiplied with exactly the same operations regardless of the
-/// split, so the output is bit-identical for any thread count.
+/// Samples are split across the worker pool in whole-image chunks, each
+/// chunk owning a disjoint slice of `out` and its own patch buffer. Every
+/// sample is lowered and multiplied with exactly the same operations
+/// regardless of the split, so the output is bit-identical for any thread
+/// count.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_batch_into(
     input: &[f32],
@@ -244,29 +245,7 @@ pub fn conv2d_batch_into_with(
         }
     };
 
-    let workers = crate::parallel::max_threads().min(batch).max(1);
-    if workers == 1 {
-        run_rows(0, out, &mut scratch[..p * k]);
-        return;
-    }
-    let rows_per = batch.div_ceil(workers);
-    crossbeam::scope(|scope| {
-        let mut out_rest = out;
-        let mut scratch_rest = &mut scratch[..];
-        let mut s0 = 0;
-        while !out_rest.is_empty() {
-            let take = (rows_per * out_f).min(out_rest.len());
-            let (out_head, out_tail) = out_rest.split_at_mut(take);
-            let (patch_head, patch_tail) = scratch_rest.split_at_mut(p * k);
-            let f = &run_rows;
-            scope.spawn(move |_| f(s0, out_head, patch_head));
-            s0 += take / out_f;
-            out_rest = out_tail;
-            scratch_rest = patch_tail;
-        }
-    })
-    // lint:allow(panic-in-lib, reason = "scope errors only propagate a worker panic; swallowing them would corrupt results silently")
-    .expect("conv2d_batch_into worker panicked");
+    crate::parallel::par_row_chunks_scratch_mut(out, out_f, scratch, p * k, run_rows);
 }
 
 /// Batched square non-overlapping max pooling into a caller-owned buffer.

@@ -7,7 +7,7 @@
 //! * contiguous `f32` storage with shape/stride bookkeeping ([`Tensor`]),
 //! * elementwise and reduction kernels ([`ops`]),
 //! * cache-blocked, optionally multi-threaded matrix multiplication
-//!   ([`matmul`]) using `crossbeam` scoped threads,
+//!   ([`matmul`]) on a persistent worker pool ([`parallel`]),
 //! * `im2col`/`col2im` lowering for convolutions ([`conv`]),
 //! * pluggable compute backends ([`backend`]): the portable scalar kernels
 //!   plus an explicit AVX2+FMA SIMD set, selected at runtime,
@@ -16,8 +16,8 @@
 //!
 //! The design follows the Rust performance-book guidance used throughout this
 //! workspace: no allocation inside hot loops, flat `Vec<f32>` storage, index
-//! arithmetic hoisted out of inner loops, and data-parallel outer loops via
-//! scoped threads (data-race freedom by construction — each thread gets a
+//! arithmetic hoisted out of inner loops, and data-parallel outer loops on a
+//! worker pool (data-race freedom by construction — each thread gets a
 //! disjoint `&mut` chunk).
 //!
 //! ```
@@ -28,11 +28,12 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
-// `deny`, not `forbid`: the one sanctioned exception is the explicit-SIMD
-// module (`backend::simd`), which opts back in with a scoped
-// `#![allow(unsafe_code)]` and carries a `// SAFETY:` justification on every
-// unsafe block — both policed by the `unsafe-audit` cbnet-lint rule. All
-// other modules remain unsafe-free.
+// `deny`, not `forbid`: the two sanctioned exceptions are the explicit-SIMD
+// module (`backend::simd`) and the worker pool (`parallel::pool`, whose jobs
+// are borrowed closures with their lifetime erased for one call). Each opts
+// back in with a scoped `#![allow(unsafe_code)]` and carries a `// SAFETY:`
+// justification on every unsafe block — both policed by the `unsafe-audit`
+// cbnet-lint rule. All other modules remain unsafe-free.
 #![deny(unsafe_code)]
 
 pub mod axis;

@@ -4,14 +4,16 @@
 //! stack to these kernels, so they carry nearly all of the workspace's FLOPs.
 //! The implementation follows the classic ikj loop order (B's row reused
 //! across the inner loop, unit-stride writes into C), with the M dimension
-//! parallelised across scoped threads when the problem is large enough to
-//! amortise thread spawn.
+//! split across the worker pool when the problem is large enough to
+//! amortise the hand-off. Small-batch dense products against a large weight
+//! matrix split their output features across the pool instead (see
+//! `split_outputs_bt`).
 
 use crate::parallel::par_row_chunks_mut;
 use crate::Tensor;
 
-/// Minimum number of output elements before the parallel path engages.
-/// Below this, thread-spawn overhead dominates; the constant was chosen so
+/// Minimum number of output elements before the row-parallel path engages.
+/// Below this, the hand-off to the pool dominates; the constant was chosen so
 /// LeNet-scale per-image inference always stays on the single-threaded path
 /// while batched training matrices go parallel. Shared with the SIMD backend
 /// so both backends split work identically.
@@ -19,9 +21,69 @@ pub(crate) const PAR_THRESHOLD: usize = 64 * 64;
 
 /// Streamed-operand budget in f32s (512 KiB): in [`matmul_bt_bias_into`]'s
 /// j-outer schedule the A slice must stay resident in a typical ≥ 512 KiB L2
-/// across the j sweep to win. Shared with the SIMD backend so both backends
-/// make the same schedule choice on every shape.
-pub(crate) const RESIDENT_BUDGET: usize = 1 << 17;
+/// across the j sweep to win (see [`resident_schedule`]).
+const RESIDENT_BUDGET: usize = 1 << 17;
+
+/// Rows below which a `bt` chunk runs i-outer: with fewer than four rows
+/// the j-outer schedule cannot fill its four FMA chains, while i-outer runs
+/// four output features per pass. Shared with the SIMD backend.
+const SMALL_ROWS: usize = 4;
+
+/// Weight elements (`n·k`) from which a product of fewer than
+/// [`SMALL_ROWS`] rows splits its output features across the pool. Measured
+/// at batch 1 on two cores: a 256×128 layer gains nothing from the split,
+/// a 256×256 one runs a third faster. Of the paper's models only the
+/// autoencoder's wide layers reach it.
+const SPLIT_MIN_WEIGHTS: usize = 1 << 16;
+
+/// Output features per block granule of the output split: one 64-byte
+/// line of `f32`, so no two threads write the same line.
+const SPLIT_GRANULE: usize = 16;
+
+/// The `bt` schedule for a chunk of `rows` output rows against `n` weight
+/// rows of length `k`: `true` for the B-row-resident j-outer order, `false`
+/// for i-outer. Both orders give every output the same reduction, so the
+/// choice changes speed only. Shared with the SIMD backend so both backends
+/// make the same choice on every shape.
+pub(crate) fn resident_schedule(rows: usize, k: usize, n: usize) -> bool {
+    rows >= SMALL_ROWS && rows * k <= RESIDENT_BUDGET && rows * k < n * k
+}
+
+/// Small-batch `C = A·Bᵀ (+ bias)` against a large weight matrix: each of
+/// the `m` output rows is split into contiguous blocks of output features,
+/// one per pool thread, and `kernel(a_row, b_block, bias_block, c_block)`
+/// computes one block — block `t` always goes to the same thread, so its
+/// weight rows stay in that core's cache from call to call. Each output is
+/// still one full-length reduction, so the result is the same at every
+/// thread count. Returns `false`, having done nothing, when the shape is
+/// not small-batch (`m ≥ SMALL_ROWS`) or the weights are below
+/// [`SPLIT_MIN_WEIGHTS`]. Shared with the SIMD backend.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn split_outputs_bt<K>(
+    a: &[f32],
+    b: &[f32],
+    bias: Option<&[f32]>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    kernel: K,
+) -> bool
+where
+    K: Fn(&[f32], &[f32], Option<&[f32]>, &mut [f32]) + Sync,
+{
+    if m >= SMALL_ROWS || n * k < SPLIT_MIN_WEIGHTS {
+        return false;
+    }
+    for (a_row, c_row) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        par_row_chunks_mut(c_row, SPLIT_GRANULE, |g0, block| {
+            let j0 = g0 * SPLIT_GRANULE;
+            let j1 = j0 + block.len();
+            kernel(a_row, &b[j0 * k..j1 * k], bias.map(|bv| &bv[j0..j1]), block);
+        });
+    }
+    true
+}
 
 /// `C = A · B` for row-major `A (m×k)` and `B (k×n)`, writing into `c`.
 ///
@@ -100,9 +162,12 @@ pub fn matmul_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
 /// not — there the classic i-outer order re-streams all of `B` from DRAM `m`
 /// times, while this order streams the cache-resident `A` instead (measured
 /// ≈ 1.6× on a 128×784 · 784×784ᵀ product). For shapes where `A` is not the
-/// smaller operand it falls back to the i-outer order, and the parallel path
+/// smaller operand, or a chunk has too few rows to fill the j-outer
+/// schedule, it falls back to the i-outer order, and the parallel path
 /// splits output rows first (each worker's `A` slice is smaller still, so
-/// the j-outer choice gets *more* profitable under threading).
+/// the j-outer choice gets *more* profitable under threading). Batches of
+/// fewer than four rows against a large weight matrix split output
+/// features across the pool instead (`split_outputs_bt`).
 pub fn matmul_bt_bias_into(
     a: &[f32],
     b: &[f32],
@@ -118,9 +183,14 @@ pub fn matmul_bt_bias_into(
     if let Some(bias) = bias {
         debug_assert_eq!(bias.len(), n);
     }
+    if split_outputs_bt(a, b, bias, c, m, k, n, |a_row, b, bias, out| {
+        bt_row(a_row, b, bias, out, k)
+    }) {
+        return;
+    }
     let body = |row0: usize, chunk: &mut [f32]| {
         let rows = chunk.len() / n;
-        if rows * k <= RESIDENT_BUDGET && rows * k < n * k {
+        if resident_schedule(rows, k, n) {
             for j in 0..n {
                 let b_row = &b[j * k..j * k + k];
                 let bj = bias.map_or(0.0, |bv| bv[j]);
@@ -130,20 +200,8 @@ pub fn matmul_bt_bias_into(
                 }
             }
         } else {
-            for i in 0..rows {
-                let a_row = &a[(row0 + i) * k..(row0 + i) * k + k];
-                match bias {
-                    Some(bv) => {
-                        for j in 0..n {
-                            chunk[i * n + j] = dot(a_row, &b[j * k..j * k + k]) + bv[j];
-                        }
-                    }
-                    None => {
-                        for j in 0..n {
-                            chunk[i * n + j] = dot(a_row, &b[j * k..j * k + k]);
-                        }
-                    }
-                }
+            for (i, out_row) in chunk.chunks_exact_mut(n).enumerate() {
+                bt_row(&a[(row0 + i) * k..(row0 + i) * k + k], b, bias, out_row, k);
             }
         }
     };
@@ -151,6 +209,23 @@ pub fn matmul_bt_bias_into(
         par_row_chunks_mut(c, n, |row0, chunk| body(row0, chunk));
     } else {
         body(0, c);
+    }
+}
+
+/// One output row of `A·Bᵀ (+ bias)`: `out_row[j] = dot(a_row, b_j) (+
+/// bias[j])` for the `out_row.len()` rows `b_j` of length `k` in `b`.
+fn bt_row(a_row: &[f32], b: &[f32], bias: Option<&[f32]>, out_row: &mut [f32], k: usize) {
+    match bias {
+        Some(bv) => {
+            for (j, o) in out_row.iter_mut().enumerate() {
+                *o = dot(a_row, &b[j * k..j * k + k]) + bv[j];
+            }
+        }
+        None => {
+            for (j, o) in out_row.iter_mut().enumerate() {
+                *o = dot(a_row, &b[j * k..j * k + k]);
+            }
+        }
     }
 }
 

@@ -250,10 +250,14 @@ impl Tensor {
 }
 
 /// Minimum element count before elementwise `_into` kernels go parallel.
-/// Elementwise maps are memory-bound; below this, thread-spawn overhead
-/// dominates any bandwidth win. Shared with the SIMD backend so both
-/// backends split work identically.
+/// Elementwise maps are memory-bound; below this, the hand-off to the
+/// worker pool costs more than the bandwidth it wins. Shared with the SIMD
+/// backend so both backends split work identically.
 pub(crate) const ELEMWISE_PAR_THRESHOLD: usize = 1 << 15;
+
+/// Elements per "row" when elementwise kernels split work across threads:
+/// chunk boundaries fall on multiples of it. Shared with the SIMD backend.
+pub(crate) const ELEMWISE_GRANULE: usize = 4096;
 
 /// Apply `f` elementwise from `input` into `out` (same length), splitting
 /// across threads for large buffers.
@@ -264,7 +268,8 @@ pub(crate) const ELEMWISE_PAR_THRESHOLD: usize = 1 << 15;
 pub fn unary_map_into(input: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
     debug_assert_eq!(input.len(), out.len(), "unary_map_into length mismatch");
     if input.len() >= ELEMWISE_PAR_THRESHOLD && crate::parallel::max_threads() > 1 {
-        crate::parallel::par_chunks_mut(out, 4096, |start, chunk| {
+        crate::parallel::par_row_chunks_mut(out, ELEMWISE_GRANULE, |g0, chunk| {
+            let start = g0 * ELEMWISE_GRANULE;
             let src = &input[start..start + chunk.len()];
             for (o, &x) in chunk.iter_mut().zip(src) {
                 *o = f(x);

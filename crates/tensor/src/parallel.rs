@@ -1,17 +1,20 @@
-//! Scoped-thread data parallelism helpers.
+//! Data parallelism over a persistent worker pool.
 //!
 //! We deliberately do not depend on `rayon` (it is not in the approved
-//! dependency set for this reproduction); instead, the two parallel patterns
-//! the workspace actually needs — "split a `&mut [T]` into disjoint chunks and
-//! process each on its own thread" and "map an index range in parallel and
-//! collect" — are implemented directly over `crossbeam::scope`. Each worker
-//! receives a disjoint chunk, so data-race freedom is enforced by the borrow
-//! checker, exactly as the Rust Atomics & Locks guidance prescribes.
+//! dependency set for this reproduction). The one parallel pattern the
+//! kernels need — split a `&mut [T]` into disjoint row-aligned chunks and
+//! process each on its own thread — is [`par_row_chunks_mut`] (and a
+//! crate-internal twin that also hands each chunk its own scratch block),
+//! run on a process-wide worker pool: `max_threads() − 1` workers started on
+//! first use, a static chunk-to-worker assignment, bounded spinning then
+//! parking, and an inline fallback when the pool is busy.
 //!
 //! Threading is governed by [`max_threads`], which honours the
 //! `TENSOR_NUM_THREADS` environment variable and otherwise uses available
-//! parallelism. Single-threaded fallbacks avoid the scope overhead entirely,
-//! which matters on the 1-core CI hosts this reproduction targets.
+//! parallelism. With a budget of one thread no pool starts and every call
+//! runs inline.
+
+mod pool;
 
 use std::sync::OnceLock;
 
@@ -36,101 +39,58 @@ pub fn max_threads() -> usize {
     })
 }
 
-/// Process disjoint chunks of `data` in parallel.
-///
-/// Splits `data` into at most [`max_threads`] chunks of at least
-/// `min_chunk_len` elements and calls `f(chunk_start_index, chunk)` on each,
-/// possibly on different threads. Falls back to a single in-thread call when
-/// only one chunk is warranted.
-pub fn par_chunks_mut<T: Send, F>(data: &mut [T], min_chunk_len: usize, f: F)
-where
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let len = data.len();
-    if len == 0 {
-        return;
-    }
-    let threads = max_threads().min(len.div_ceil(min_chunk_len.max(1))).max(1);
-    if threads == 1 {
-        f(0, data);
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    crossbeam::scope(|s| {
-        let mut rest = data;
-        let mut start = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let fr = &f;
-            s.spawn(move |_| fr(start, head));
-            start += take;
-            rest = tail;
-        }
-    })
-    // lint:allow(panic-in-lib, reason = "scope errors only propagate a worker panic; swallowing them would corrupt results silently")
-    .expect("parallel worker panicked");
-}
-
 /// Process disjoint *row-aligned* chunks of `data` in parallel.
 ///
-/// Like [`par_chunks_mut`], but every chunk is guaranteed to be a whole
-/// number of rows of `row_len` elements, and `f` receives the index of the
-/// chunk's **first row** (not its first element). This is the right splitter
-/// for kernels that must never see a partial row — batched softmax, per-image
-/// convolution, pooling — where [`par_chunks_mut`]'s element-granular split
-/// could hand a worker half a row.
+/// `data` is split into at most [`max_threads`] chunks of whole rows of
+/// `row_len` elements, and `f(first_row, chunk)` runs once per chunk on the
+/// worker pool: chunk 0 on the calling thread, chunk `i` always on
+/// worker `i`. `data.len()` need not be a multiple of `row_len`: the
+/// trailing partial row rides with the last chunk, so elementwise callers
+/// pass a fixed granule as `row_len`. The split depends only on the lengths
+/// and the thread budget, so a kernel whose per-row arithmetic does not
+/// depend on the chunk gives bit-identical output at every thread count.
+/// When the pool is busy (another caller, or a call from inside a chunk) or
+/// there is one chunk, `f(0, data)` runs inline instead.
 pub fn par_row_chunks_mut<T: Send, F>(data: &mut [T], row_len: usize, f: F)
 where
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let row_len = row_len.max(1);
-    let rows = data.len() / row_len;
-    if rows == 0 {
-        if !data.is_empty() {
-            f(0, data);
-        }
-        return;
-    }
-    debug_assert_eq!(data.len() % row_len, 0, "data must be whole rows");
-    let threads = max_threads().min(rows).max(1);
-    if threads == 1 {
-        f(0, data);
-        return;
-    }
-    let rows_per = rows.div_ceil(threads);
-    crossbeam::scope(|s| {
-        let mut rest = data;
-        let mut row0 = 0;
-        while !rest.is_empty() {
-            let take = (rows_per * row_len).min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let fr = &f;
-            s.spawn(move |_| fr(row0, head));
-            row0 += take / row_len;
-            rest = tail;
-        }
-    })
-    // lint:allow(panic-in-lib, reason = "scope errors only propagate a worker panic; swallowing them would corrupt results silently")
-    .expect("parallel worker panicked");
+    par_row_chunks_scratch_mut(data, row_len, &mut [(); 0], 0, |row0, chunk, _| {
+        f(row0, chunk)
+    });
 }
 
-/// Parallel map over an index range, collecting results in order.
+/// [`par_row_chunks_mut`] with per-chunk scratch: chunk `i` also receives
+/// block `i` of `scratch_len` elements of `scratch`, which must hold one
+/// block per chunk (at least `max_threads().min(rows)` blocks). The inline
+/// fallback receives block 0.
 ///
-/// `f(i)` is invoked once for every `i ∈ [0, n)`. Results land in a `Vec`
-/// ordered by index regardless of which thread computed them.
-pub fn par_map_indexed<T, F>(n: usize, min_chunk_len: usize, f: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
+/// # Panics
+/// When `scratch` is shorter than the chunks need, or re-raising a panic of
+/// `f` on any thread.
+pub(crate) fn par_row_chunks_scratch_mut<T: Send, S: Send, F>(
+    data: &mut [T],
+    row_len: usize,
+    scratch: &mut [S],
+    scratch_len: usize,
+    f: F,
+) where
+    F: Fn(usize, &mut [T], &mut [S]) + Sync,
 {
-    let mut out = vec![T::default(); n];
-    par_chunks_mut(&mut out, min_chunk_len, |start, chunk| {
-        for (k, slot) in chunk.iter_mut().enumerate() {
-            *slot = f(start + k);
+    let row_len = row_len.max(1);
+    let rows = data.len() / row_len;
+    let threads = max_threads().min(rows).max(1);
+    if threads > 1 {
+        let rows_per = rows.div_ceil(threads);
+        let tasks = rows.div_ceil(rows_per);
+        let chunk = |t: usize, c: &mut [T], s: &mut [S]| f(t * rows_per, c, s);
+        if pool::try_for_each_chunk(data, tasks, rows_per * row_len, scratch, scratch_len, chunk) {
+            return;
         }
-    });
-    out
+    }
+    if !data.is_empty() {
+        f(0, data, &mut scratch[..scratch_len]);
+    }
 }
 
 #[cfg(test)]
@@ -144,11 +104,14 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_touches_every_element_once() {
-        let mut data = vec![0u32; 10_000];
-        par_chunks_mut(&mut data, 64, |start, chunk| {
+    fn row_chunks_touch_every_element_once_and_stay_row_aligned() {
+        // 1001 rows of 7 plus a partial row of 3: every chunk but the last
+        // holds whole rows, and the tail rides with the last one.
+        let row_len = 7;
+        let mut data = vec![0u32; 1001 * row_len + 3];
+        par_row_chunks_mut(&mut data, row_len, |row0, chunk| {
             for (k, v) in chunk.iter_mut().enumerate() {
-                *v += (start + k) as u32;
+                *v += (row0 * row_len + k) as u32;
             }
         });
         for (i, &v) in data.iter().enumerate() {
@@ -157,33 +120,67 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_empty_slice_is_noop() {
-        let mut data: Vec<u8> = vec![];
-        par_chunks_mut(&mut data, 1, |_, _| panic!("must not be called"));
-    }
-
-    #[test]
-    fn par_chunks_mut_small_input_single_call() {
+    fn empty_slice_is_noop_and_short_slice_is_one_call() {
+        let mut empty: Vec<u8> = vec![];
+        par_row_chunks_mut(&mut empty, 1, |_, _| panic!("must not be called"));
         let calls = AtomicUsize::new(0);
-        let mut data = vec![1u8; 3];
-        par_chunks_mut(&mut data, 100, |_, chunk| {
+        let mut short = vec![1u8; 3];
+        par_row_chunks_mut(&mut short, 100, |row0, chunk| {
             calls.fetch_add(1, Ordering::SeqCst);
-            assert_eq!(chunk.len(), 3);
+            assert_eq!((row0, chunk.len()), (0, 3));
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]
-    fn par_map_indexed_is_ordered() {
-        let out = par_map_indexed(1000, 16, |i| i * 2);
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, i * 2);
-        }
+    fn scratch_blocks_are_disjoint_per_chunk() {
+        let rows = 64;
+        let mut data = vec![0u64; rows * 4];
+        let mut scratch = vec![0u64; max_threads().min(rows) * 2];
+        let blocks = std::sync::Mutex::new(Vec::new());
+        par_row_chunks_scratch_mut(&mut data, 4, &mut scratch, 2, |row0, chunk, s| {
+            assert_eq!(s.len(), 2);
+            blocks.lock().unwrap().push(s.as_ptr() as usize);
+            for (k, v) in chunk.iter_mut().enumerate() {
+                *v = (row0 * 4 + k) as u64;
+            }
+        });
+        let mut blocks = blocks.into_inner().unwrap();
+        blocks.sort_unstable();
+        let block_bytes = 2 * std::mem::size_of::<u64>();
+        assert!(blocks.windows(2).all(|w| w[1] - w[0] >= block_bytes));
+        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64));
     }
 
     #[test]
-    fn par_map_indexed_zero_len() {
-        let out: Vec<usize> = par_map_indexed(0, 1, |i| i);
-        assert!(out.is_empty());
+    fn worker_panic_is_reraised_on_the_caller() {
+        if max_threads() < 2 {
+            return;
+        }
+        // The pool may be busy with another test's job, in which case the
+        // call runs inline as one chunk starting at row 0 and does not
+        // panic; retry until a split run reaches a worker.
+        for _ in 0..10_000 {
+            let mut data = vec![0u8; 64];
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                par_row_chunks_mut(&mut data, 1, |row0, _| {
+                    assert!(row0 == 0, "chunk at row {row0}");
+                });
+            }));
+            if let Err(payload) = result {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert!(msg.contains("parallel worker panicked"), "{msg}");
+                assert!(msg.contains("chunk at row"), "{msg}");
+                // The pool serves the next job normally.
+                let mut again = vec![1u32; 64];
+                par_row_chunks_mut(&mut again, 1, |_, c| c.fill(2));
+                assert!(again.iter().all(|&v| v == 2));
+                return;
+            }
+        }
+        panic!("no split run reached a worker");
     }
 }

@@ -122,6 +122,50 @@ fn simd_dot_contract_is_bitwise_exact() {
     }
 }
 
+/// Batches of fewer than four rows against a weight matrix of at least
+/// 2^16 elements split their output features across the worker pool, and
+/// smaller ones run the i-outer schedule; every output must still be its
+/// backend's documented dot (plus the bias), bit for bit, at any thread
+/// count. The shapes include the autoencoder's layers and ragged widths
+/// that do not fill a 16-feature block or an 8-lane vector.
+#[test]
+fn small_batch_dense_outputs_keep_their_dot_order() {
+    let backends = [Some(Backend::scalar()), Backend::simd()];
+    for be in backends.into_iter().flatten() {
+        let model: fn(&[f32], &[f32]) -> f32 = if be.name() == "scalar" {
+            model_scalar_dot
+        } else {
+            model_simd_dot
+        };
+        for &(m, k, n) in &[
+            (1, 784, 512),
+            (1, 512, 384),
+            (2, 784, 784),
+            (3, 301, 229),
+            (1, 33, 2001),
+            (3, 384, 32),
+            (1, 32, 784),
+        ] {
+            let a = rand_vec(m * k, (m * k) as u64);
+            let b = rand_vec(n * k, (n * k) as u64 ^ 5);
+            let bias = rand_vec(n, n as u64 ^ 9);
+            let mut c = vec![0.0f32; m * n];
+            be.matmul_bt_bias_into(&a, &b, Some(&bias), &mut c, m, k, n);
+            for i in 0..m {
+                for j in 0..n {
+                    let want = model(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]) + bias[j];
+                    assert_eq!(
+                        c[i * n + j].to_bits(),
+                        want.to_bits(),
+                        "{} ({m},{k},{n}) output ({i},{j})",
+                        be.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Ragged-shape proptests. Dimension ranges deliberately straddle multiples
 // of 8 (and 4, the register-block width) so the masked tail paths and the

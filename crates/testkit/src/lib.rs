@@ -10,11 +10,11 @@
 //!
 //! Counters are thread-local so concurrently running `#[test]` functions
 //! can't pollute each other's measurements. The flip side: allocations a
-//! measured region performs on *other* threads (e.g. scoped-parallel
-//! workers) are invisible to [`count_allocs`] — guards must pin
-//! `TENSOR_NUM_THREADS=1` first, which is also what makes "spawn a thread"
-//! (itself several allocations on the spawning thread) show up rather than
-//! hide.
+//! measured region performs on *other* threads (e.g. the tensor worker
+//! pool's workers) are invisible to [`count_allocs`]. For those, a
+//! process-wide counter backs [`count_process_allocs`] and
+//! [`assert_no_process_alloc`]; it sees every thread, so a test binary
+//! using it must not run anything else concurrently.
 //!
 //! This crate needs `unsafe` for the one thing that cannot be expressed
 //! without it — implementing [`GlobalAlloc`] — so unlike the rest of the
@@ -24,12 +24,17 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static DEALLOCS: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
+
+/// Allocations on every thread of the process. A statistic that publishes
+/// no other data, so `Relaxed` suffices.
+static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// Allocation counters for the current thread since it started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +94,30 @@ pub fn assert_no_alloc<R>(what: &str, f: impl FnOnce() -> R) -> R {
     result
 }
 
+/// Run `f` and report how many heap allocations the **whole process**
+/// performed meanwhile, on any thread — including worker threads `f`
+/// hands work to. Other threads' unrelated allocations count too.
+pub fn count_process_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = PROCESS_ALLOCS.load(Ordering::Relaxed);
+    let result = f();
+    (PROCESS_ALLOCS.load(Ordering::Relaxed) - before, result)
+}
+
+/// Assert that the whole process performs zero heap allocations while `f`
+/// runs (see [`count_process_allocs`]).
+///
+/// # Panics
+/// Panics when any thread allocated.
+#[track_caller]
+pub fn assert_no_process_alloc<R>(what: &str, f: impl FnOnce() -> R) -> R {
+    let (allocs, result) = count_process_allocs(f);
+    assert_eq!(
+        allocs, 0,
+        "{what}: expected zero heap allocations on any thread, got {allocs}"
+    );
+    result
+}
+
 /// A `#[global_allocator]` that counts per-thread allocations and defers
 /// the actual memory management to [`System`].
 ///
@@ -110,6 +139,7 @@ fn record_alloc(bytes: usize) {
     // `try_with` because allocation can happen during TLS teardown, when
     // the counters are already destroyed — those events go uncounted
     // rather than aborting the process.
+    PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
@@ -195,6 +225,16 @@ mod tests {
     fn assert_no_alloc_passes_through_result() {
         let x = assert_no_alloc("sum", || (0..100u32).sum::<u32>());
         assert_eq!(x, 4950);
+    }
+
+    #[test]
+    fn process_counter_sees_other_threads() {
+        let (allocs, ()) = count_process_allocs(|| {
+            std::thread::scope(|s| {
+                s.spawn(|| drop(std::hint::black_box(vec![1u8; 64])));
+            });
+        });
+        assert!(allocs >= 1, "the child thread's vec! must count");
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! plan buffers or optimizer state — that is part of the contract) and then
 //! asserts that **steady-state** repetitions perform exactly zero heap
 //! allocations on the calling thread. `TENSOR_NUM_THREADS=1` is pinned
-//! before the first tensor op so kernels stay on their serial paths:
-//! spawning a scoped worker allocates on the spawning thread, which is
-//! precisely what the guard would (correctly) flag, and the conformance
-//! suites already pin multi-threaded results bit-identical to serial ones.
+//! before the first tensor op so kernels stay on their serial paths: the
+//! counters here are per thread, so work handed to the tensor worker pool
+//! would escape them. The pooled path has its own guard,
+//! `tests/alloc_guard_pooled.rs`, which pins two threads and counts
+//! allocations on every thread.
 //!
 //! The models are the paper's comparators (LeNet, the Table-I dense MLP,
 //! AdaDeep's scaled candidate, SubFlow's subnetwork, BranchyNet's stages,
